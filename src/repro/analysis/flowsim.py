@@ -57,6 +57,12 @@ class FlowSimResult:
         self.max_active = 0
         self.n_rate_changes = 0
         self.n_waterfills = 0
+        # What :meth:`background` replays: the engine (with its rate log),
+        # the simulator's link-id maps and the flow id at each engine index.
+        self._engine: Optional[FluidEngine] = None
+        self._link_ids: Dict[LinkKey, int] = {}
+        self._link_keys: List[LinkKey] = []
+        self._flow_ids: List[int] = []
 
     def add(self, rec: FlowRecord) -> None:
         self.records.append(rec)
@@ -66,6 +72,24 @@ class FlowSimResult:
 
     def completed(self) -> int:
         return len(self.records)
+
+    def background(
+        self, epoch_ps: int, link_keys: Sequence[LinkKey], flow_ids: Sequence[int]
+    ) -> Dict[LinkKey, Dict[int, float]]:
+        """Per-(link, epoch) bytes the ``flow_ids`` offered on ``link_keys``
+        during this run: ``{link_key: {epoch index: bytes}}``, links with
+        no bytes left out.  The same map ``run(bg=(epoch_ps, link_keys,
+        flow_ids))`` fills in, computed by replaying this run's rate log
+        rather than solving max-min again."""
+        link_ids = self._link_ids
+        tracked = frozenset(flow_ids)
+        acc = self._engine.background(
+            epoch_ps,
+            [link_ids[k] for k in link_keys if k in link_ids],
+            [i for i, fid in enumerate(self._flow_ids) if fid in tracked],
+        )
+        inv = self._link_keys
+        return {inv[l]: d for l, d in acc.items() if d}
 
 
 class FlowLevelSimulator:
@@ -119,19 +143,13 @@ class FlowLevelSimulator:
         The keyword hooks are the hybrid tier boundary (DESIGN.md §6):
         ``congestion=(util_threshold, min_flows)`` records per-link
         congested intervals; ``bg=(epoch_ps, link_keys, flow_ids)``
-        accumulates the named flows' offered bytes per (link, epoch);
+        accumulates the named flows' offered bytes per (link, epoch) (a
+        replay of this run, see :meth:`FlowSimResult.background`);
         ``cap_schedule=[(t_ps, link_key, rate_gbps), ...]`` applies
         piecewise-constant capacity changes (residual capacity feedback).
         """
         result = FlowSimResult()
         link_ids = self._link_ids
-
-        bg_cfg = None
-        tracked: frozenset = frozenset()
-        if bg is not None:
-            epoch_ps, bg_keys, bg_flow_ids = bg
-            bg_cfg = (epoch_ps, [link_ids[k] for k in bg_keys if k in link_ids])
-            tracked = frozenset(bg_flow_ids)
         sched = None
         if cap_schedule:
             sched = [
@@ -142,7 +160,6 @@ class FlowLevelSimulator:
         engine = FluidEngine(
             self._caps,
             congestion=congestion,
-            bg=bg_cfg,
             cap_schedule=sched,
             rate_eps=rate_eps,
             ripple_rounds=ripple_rounds,
@@ -165,12 +182,7 @@ class FlowLevelSimulator:
                 lids.append(lid)
             links = [self._link_attrs[lk] for lk in path]
             ideal = ideal_fct_ps(f.size_bytes, links, mtu=mtu, header=header)
-            engine.add_flow(
-                lids,
-                f.size_bytes * wire_factor,
-                f.start_ps,
-                tracked=f.flow_id in tracked,
-            )
+            engine.add_flow(lids, f.size_bytes * wire_factor, f.start_ps)
             meta.append((f, ideal))
             result.paths[f.flow_id] = path
 
@@ -192,12 +204,17 @@ class FlowLevelSimulator:
         result.congestion_intervals = {
             inv[l]: iv for l, iv in engine.congestion_intervals.items()
         }
-        result.bg_bytes = {inv[l]: d for l, d in engine.bg_bytes.items() if d}
         result.n_events = engine.n_events
         result.end_time = engine.end_time
         result.max_active = engine.max_active
         result.n_rate_changes = engine.n_rate_changes
         result.n_waterfills = engine.n_waterfills
+        result._engine = engine
+        result._link_ids = link_ids
+        result._link_keys = inv
+        result._flow_ids = [f.flow_id for f, _ in meta]
+        if bg is not None:
+            result.bg_bytes = result.background(*bg)
         return result
 
 

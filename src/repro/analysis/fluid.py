@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 
 class FluidLink:
@@ -58,6 +57,11 @@ def simulate_queue(
     owe bytes).  Returns (times_ps, queue_bytes)."""
     if t_end_ps <= 0:
         raise ValueError("t_end must be positive")
+    # Imported here, not at module level: scipy costs every ``import repro``
+    # (and every sweep-pool worker) ~0.3 s and ~35 MiB, and only this
+    # analysis function needs it.
+    from scipy.integrate import solve_ivp
+
     b = link.bandwidth_bytes_per_ps
     rtt = link.rtt_ps
 

@@ -8,9 +8,12 @@ coupled tiers:
    at/above ``threshold`` with at least ``min_link_flows`` concurrent
    flows.  Flows whose fluid lifetime overlaps a congested interval on any
    path link are *demoted* to the packet tier; everything else stays fluid.
-2. **Background pass** — the fluid model re-runs accumulating, per
-   (link, epoch), the bytes the *fluid* flows offer on links the demoted
-   flows cross (the tier boundary's forward direction).
+2. **Background** — a replay of the classification pass's rate log
+   accumulates, per (link, epoch), the bytes the *fluid* flows offer on
+   links the demoted flows cross (the tier boundary's forward direction).
+   Neither congestion recording nor this accumulation feeds back into
+   rates, so the max-min trajectory is solved once per cell and every
+   refine round replays it.
 3. **Packet phase** — only the demoted flows are launched on the real
    discrete-event fabric.  Fluid background load is presented to the
    shared ports as serializer drains (:meth:`repro.net.port.Port.bg_drain`)
@@ -382,10 +385,11 @@ def run_fct_hybrid(
 
     # -- 1. classification pass --------------------------------------------
     stats: Dict[str, int] = {}
+    # The unconstrained fluid trajectory of the whole flow set: solved
+    # once, replayed for every round's background load.
+    base = None
     if classify_fn is not None:
         demoted: Set[int] = {f.flow_id for f in flows if classify_fn(f)}
-        # Paths are still needed for the background-pass link overlap.
-        paths = {f.flow_id: path_fn(f) for f in flows}
     else:
         if obs is not None:
             obs.phase("classify", flows=n_flows, threshold=thr)
@@ -397,6 +401,7 @@ def run_fct_hybrid(
                 rate_eps=cfg.rate_eps,
                 ripple_rounds=cfg.ripple_rounds,
             )
+        base = cres
         paths = cres.paths
         demoted = set()
         frac = cfg.congested_frac
@@ -469,20 +474,26 @@ def run_fct_hybrid(
                 res.sim, res.topo, _observed(stats),
             )
         demoted_flows = [f for f in flows if f.flow_id in demoted]
-        if not demoted_flows:
+        if base is None:
+            # A classify_fn partition: one plain pass gives the paths and
+            # the trajectory to replay.
             if obs is not None:
                 obs.phase("fluid", flows=n_flows)
             with _guard():
-                fres = fls.run(
+                base = fls.run(
                     flows, path_fn, rate_eps=cfg.rate_eps,
                     ripple_rounds=cfg.ripple_rounds,
                 )
+            paths = base.paths
+        if not demoted_flows:
+            # Everything stays fluid: the unconstrained trajectory is the
+            # answer (congestion recording never changes it).
             stats.update(
                 {"demoted": 0, "fluid": n_flows, "refine_rounds": rounds_used,
-                 "fluid_events": fres.n_events}
+                 "fluid_events": base.n_events}
             )
             return HybridFctResult(
-                cc, workload, list(fres.records), fab.bins, n_flows, None,
+                cc, workload, list(base.records), fab.bins, n_flows, None,
                 fab.topo, _observed(stats),
             )
 
@@ -497,19 +508,12 @@ def run_fct_hybrid(
                     shared_links.add(lk)
         shared = sorted(shared_links)
 
-        # -- 2. background pass ------------------------------------------
+        # -- 2. background: replay the solved trajectory ------------------
         if obs is not None:
             obs.phase(
                 "background", round=rounds_used, shared_links=len(shared)
             )
-        with _guard():
-            bres = fls.run(
-                flows,
-                path_fn,
-                bg=(epoch_ps, shared, fluid_ids),
-                rate_eps=cfg.rate_eps,
-                ripple_rounds=cfg.ripple_rounds,
-            )
+        bg_bytes = base.background(epoch_ps, shared, fluid_ids)
 
         # -- 3. packet phase ---------------------------------------------
         if rounds_used > 0:
@@ -521,7 +525,7 @@ def run_fct_hybrid(
             if obs is not None:
                 obs.attach(fab.sim, fab.topo, collector=fab.collector)
         stats["bg_drain_events"] = _schedule_bg_drains(
-            fab, bres.bg_bytes, epoch_ps, cfg.bg_quantum_bytes
+            fab, bg_bytes, epoch_ps, cfg.bg_quantum_bytes
         )
         sampler = _ResidualSampler(fab, shared, epoch_ps, obs=obs)
         if obs is not None:

@@ -16,8 +16,11 @@ hybrid tier boundary needs (DESIGN.md §6):
   is at/above a threshold with at least ``min_flows`` concurrent flows
   (the demotion predicate);
 * **background accumulation** — per-(link, epoch) byte integrals of a
-  tracked flow subset's offered load (what the fluid tier presents to
-  packet ports as virtual arrivals);
+  flow subset's offered load (what the fluid tier presents to packet
+  ports as virtual arrivals).  :meth:`FluidEngine.run` logs every
+  committed rate change; :meth:`FluidEngine.background` replays that log
+  for any (links, flows) choice, so one solved trajectory serves every
+  tier split of a cell — neither hook feeds back into rates;
 * **capacity schedules** — piecewise-constant per-link capacity changes
   (how measured packet-tier throughput is fed back as residual capacity).
 
@@ -27,7 +30,8 @@ Time is float picoseconds internally; capacities are bytes/ps.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Tuple
+from array import array
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = ["FluidEngine", "FluidFlowResult", "FluidStallError"]
 
@@ -76,11 +80,6 @@ class FluidEngine:
         time intervals during which ``load >= cap * threshold`` while at
         least ``min_flows`` flows are on the link.  Available as
         :attr:`congestion_intervals` after :meth:`run`.
-    bg:
-        Optional ``(epoch_ps, links)``: accumulate, for each link id in
-        ``links``, the bytes offered per epoch by flows added with
-        ``tracked=True``.  Available as :attr:`bg_bytes` after
-        :meth:`run` (``{link: {epoch_index: bytes}}``).
     cap_schedule:
         Optional sequence of ``(t_ps, link, cap_bytes_per_ps)`` capacity
         changes, applied in time order.
@@ -108,7 +107,6 @@ class FluidEngine:
         self,
         capacities: Sequence[float],
         congestion: Optional[Tuple[float, int]] = None,
-        bg: Optional[Tuple[int, Sequence[int]]] = None,
         cap_schedule: Optional[Sequence[Tuple[int, int, float]]] = None,
         rate_eps: float = 0.0,
         ripple_rounds: Optional[int] = None,
@@ -134,24 +132,17 @@ class FluidEngine:
         self.congestion_intervals: Dict[int, List[Tuple[float, float]]] = {}
         self._cong_open: Dict[int, float] = {}
 
-        # Background accumulation.
-        self._bg_epoch = 0
-        self._bg_links: frozenset = frozenset()
-        if bg is not None:
-            epoch_ps, links = bg
-            if epoch_ps <= 0:
-                raise ValueError("bg epoch must be positive")
-            self._bg_epoch = int(epoch_ps)
-            self._bg_links = frozenset(links)
-        self.bg_bytes: Dict[int, Dict[int, float]] = {l: {} for l in self._bg_links}
-        self._bg_load = {l: 0.0 for l in self._bg_links}
-        self._bg_last = {l: 0.0 for l in self._bg_links}
-
         # Flow table (filled by add_flow).
         self._links: List[Tuple[int, ...]] = []
         self._wire: List[float] = []
         self._start: List[int] = []
-        self._tracked: List[bool] = []
+
+        # Every committed rate change of the last run, in commit order:
+        # (time, flow, rate delta).  Typed arrays keep 100k-flow logs at
+        # 20 bytes an entry.
+        self._log_t = array("d")
+        self._log_flow = array("i")
+        self._log_delta = array("d")
 
         self.end_time = 0.0
         self.n_events = 0
@@ -160,7 +151,7 @@ class FluidEngine:
         self.max_active = 0
 
     # -- construction ----------------------------------------------------------
-    def add_flow(self, links: Sequence[int], wire_bytes: float, start_ps: int, tracked: bool = False) -> int:
+    def add_flow(self, links: Sequence[int], wire_bytes: float, start_ps: int) -> int:
         """Register one flow; returns its dense index."""
         if not links:
             raise ValueError("flow path must contain at least one link")
@@ -172,7 +163,6 @@ class FluidEngine:
         self._links.append(tuple(links))
         self._wire.append(float(wire_bytes))
         self._start.append(int(start_ps))
-        self._tracked.append(bool(tracked))
         return len(self._links) - 1
 
     # -- core ------------------------------------------------------------------
@@ -196,6 +186,9 @@ class FluidEngine:
         cap = self._cap
         flinks = self._links
         touched: set = set()
+        log_t = self._log_t.append
+        log_flow = self._log_flow.append
+        log_delta = self._log_delta.append
 
         def set_rate(i: int, new: float, t: float) -> None:
             old = rate[i]
@@ -208,17 +201,12 @@ class FluidEngine:
             if clean[i] and new != solo[i]:
                 clean[i] = False
             delta = new - old
-            if self._tracked[i]:
-                for l in flinks[i]:
-                    if l in self._bg_load:
-                        self._bg_flush(l, t)
-                        self._bg_load[l] += delta
-                    load[l] += delta
-                    touched.add(l)
-            else:
-                for l in flinks[i]:
-                    load[l] += delta
-                    touched.add(l)
+            for l in flinks[i]:
+                load[l] += delta
+                touched.add(l)
+            log_t(t)
+            log_flow(i)
+            log_delta(delta)
             ver[i] += 1
             self.n_rate_changes += 1
             if new > 0.0:
@@ -270,22 +258,31 @@ class FluidEngine:
                 if share != w_avail[l] / k:
                     heapq.heappush(heap, (w_avail[l] / k, l))
                     continue
+                # Closed first, so the ``kk == 0`` test below skips it too
+                # (every link of a member flow is in the set).
+                w_nuf[l] = 0
                 for f in w_users[l]:
                     if f in newrate:
                         continue
                     newrate[f] = share
                     for lk in flinks[f]:
-                        if lk == l or w_users[lk] is None:
-                            continue
                         kk = w_nuf[lk]
                         if kk == 0:
                             continue
-                        a = w_avail[lk] - share
-                        w_avail[lk] = a if a > 0.0 else 0.0
+                        old = w_avail[lk]
+                        a = old - share
+                        if a < 0.0:
+                            a = 0.0
+                        w_avail[lk] = a
                         w_nuf[lk] = kk - 1
-                        if kk > 1:
-                            heapq.heappush(heap, (w_avail[lk] / (kk - 1), lk))
-                w_nuf[l] = 0
+                        # Freezing a flow at the minimum share can only
+                        # raise another link's share, so its heap entry
+                        # stays a lower bound and the pop-time staleness
+                        # check re-queues it.  Only a rounding dip below
+                        # the old share needs a fresh entry to keep the
+                        # freeze order (and so every float) exact.
+                        if kk > 1 and a / (kk - 1) < old / kk:
+                            heapq.heappush(heap, (a / (kk - 1), lk))
             changed = set()
             for f in members:
                 nr = newrate.get(f, 0.0)
@@ -391,10 +388,70 @@ class FluidEngine:
             touched.clear()
 
         self.end_time = now
-        self._finalize(now)
+        for l, t0 in list(self._cong_open.items()):
+            if now > t0:
+                self.congestion_intervals.setdefault(l, []).append((t0, now))
+        self._cong_open.clear()
         return results
 
-    # -- congestion / background bookkeeping ----------------------------------
+    def background(
+        self, epoch_ps: int, links: Iterable[int], flows: Iterable[int]
+    ) -> Dict[int, Dict[int, float]]:
+        """Bytes offered per epoch on each of ``links`` by the ``flows``
+        (engine indices) during the last :meth:`run`:
+        ``{link: {epoch_index: bytes}}``.
+
+        Replays the logged rate changes instead of re-solving max-min:
+        rates never depend on what is accumulated here, so one run serves
+        any number of (links, flows) choices.
+        """
+        if epoch_ps <= 0:
+            raise ValueError("bg epoch must be positive")
+        ep = int(epoch_ps)
+        bg_links = frozenset(links)
+        acc: Dict[int, Dict[int, float]] = {l: {} for l in bg_links}
+        bg_load = {l: 0.0 for l in bg_links}
+        bg_last = {l: 0.0 for l in bg_links}
+
+        def flush(l: int, t: float) -> None:
+            t0 = bg_last[l]
+            if t <= t0:
+                return
+            bg_last[l] = t
+            rho = bg_load[l]
+            if rho <= 0.0:
+                return
+            bytes_at = acc[l]
+            e0 = int(t0 // ep)
+            e1 = int(t // ep)
+            if e0 == e1:
+                bytes_at[e0] = bytes_at.get(e0, 0.0) + rho * (t - t0)
+                return
+            bytes_at[e0] = bytes_at.get(e0, 0.0) + rho * ((e0 + 1) * ep - t0)
+            full = rho * ep
+            for e in range(e0 + 1, e1):
+                bytes_at[e] = bytes_at.get(e, 0.0) + full
+            tail = t - e1 * ep
+            if tail > 0.0:
+                bytes_at[e1] = bytes_at.get(e1, 0.0) + rho * tail
+
+        # Per tracked flow, its path links that are accumulated.
+        hits: Dict[int, List[int]] = {}
+        for i in flows:
+            on = [l for l in self._links[i] if l in bg_load]
+            if on:
+                hits[i] = on
+        for t, i, delta in zip(self._log_t, self._log_flow, self._log_delta):
+            on = hits.get(i)
+            if on is not None:
+                for l in on:
+                    flush(l, t)
+                    bg_load[l] += delta
+        for l in bg_links:
+            flush(l, self.end_time)
+        return acc
+
+    # -- congestion bookkeeping ------------------------------------------------
     def _record_congestion(self, links, t: float) -> None:
         threshold, min_flows = self._cong
         for l in links:
@@ -407,34 +464,3 @@ class FluidEngine:
                 del self._cong_open[l]
                 if t > t0:
                     self.congestion_intervals.setdefault(l, []).append((t0, t))
-
-    def _bg_flush(self, l: int, t: float) -> None:
-        t0 = self._bg_last[l]
-        if t <= t0:
-            return
-        self._bg_last[l] = t
-        rho = self._bg_load[l]
-        if rho <= 0.0:
-            return
-        ep = self._bg_epoch
-        acc = self.bg_bytes[l]
-        e0 = int(t0 // ep)
-        e1 = int(t // ep)
-        if e0 == e1:
-            acc[e0] = acc.get(e0, 0.0) + rho * (t - t0)
-            return
-        acc[e0] = acc.get(e0, 0.0) + rho * ((e0 + 1) * ep - t0)
-        full = rho * ep
-        for e in range(e0 + 1, e1):
-            acc[e] = acc.get(e, 0.0) + full
-        tail = t - e1 * ep
-        if tail > 0.0:
-            acc[e1] = acc.get(e1, 0.0) + rho * tail
-
-    def _finalize(self, t: float) -> None:
-        for l in self._bg_links:
-            self._bg_flush(l, t)
-        for l, t0 in list(self._cong_open.items()):
-            if t > t0:
-                self.congestion_intervals.setdefault(l, []).append((t0, t))
-        self._cong_open.clear()

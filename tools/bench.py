@@ -442,7 +442,7 @@ def _main(argv=None) -> int:
         f"(registry + tracer) off AND on ({sorted(OBS_SCENARIOS)}; default "
         f"set {list(OBS_AB_SCENARIOS)}), print the A/B, and exit 1 if "
         "obs-on is slower beyond --threshold on any scenario (target is "
-        "<=2%; the gate reuses the wall threshold for CI-noise headroom; "
+        "<=2%%; the gate reuses the wall threshold for CI-noise headroom; "
         "never writes the trajectory)",
     )
     parser.add_argument(
